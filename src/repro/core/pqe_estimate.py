@@ -187,8 +187,15 @@ def _build_pqe_reduction_body(
         fact: _gadget_bits(prob) for fact, prob in probabilities.items()
     }
 
+    # The multiplier numbers its gadget states ("mul", i) by position,
+    # so walk the transitions in a canonical order: the reduction's own
+    # order follows set iteration and would tie the gadget names (and
+    # with them the automaton fingerprint and every seeded estimate) to
+    # PYTHONHASHSEED.
     multiplier_transitions = []
-    for source, symbol, children in reduction.nfta.transitions:
+    for source, symbol, children in sorted(
+        reduction.nfta.transitions, key=repr
+    ):
         if isinstance(symbol, Literal):
             prob = probabilities.get(symbol.fact)
             if prob is None:
