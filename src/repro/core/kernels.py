@@ -25,7 +25,7 @@ backend (see ``docs/performance.md``):
   float weights are order-sensitive, so they signal
   :data:`FLOAT_WEIGHTS` and the caller falls back to the reference DP;
 - :func:`shared_plan` — fingerprint-keyed seed-independent sampling
-  plans (size masks, needed pairs, split tables, derivability indexes)
+  plans (size masks, needed pairs, split tables, membership mask tables)
   built once and reused by every ``_TreeCounter`` run over the same
   automaton.  The sampling loops themselves are untouched: they must
   consume the per-item SHA-256 seed streams in exactly the reference

@@ -285,3 +285,117 @@ class TestAdversarialAmbiguity:
             repetitions=5,
         )
         assert abs(result.estimate - exact) / exact < 0.6
+
+
+class TestLazyExactNodes:
+    """Exact languages are views: trees are built only when drawn."""
+
+    @staticmethod
+    def _wide_product(left: int = 20, right: int = 20) -> NFTA:
+        # σ(a_i, b_j): left·right trees of size 3, one exact product node.
+        transitions = [("root", "σ", ("left", "right"))]
+        transitions += [("left", f"a{i}", ()) for i in range(left)]
+        transitions += [("right", f"b{j}", ()) for j in range(right)]
+        return NFTA(transitions, initial="root")
+
+    @staticmethod
+    def _counters(run) -> dict:
+        from repro.obs import EvaluationTelemetry, telemetry_scope
+
+        telemetry = EvaluationTelemetry()
+        with telemetry_scope(telemetry):
+            value = run()
+        return value, telemetry.metrics.counters
+
+    @pytest.mark.parametrize("backend", ["reference", "optimized"])
+    def test_counting_an_exact_product_builds_no_tree(self, backend):
+        nfta = self._wide_product()
+        result, counters = self._counters(lambda: count_nfta(
+            nfta, 3, seed=1, exact_set_cap=4096, backend=backend
+        ))
+        assert result.exact and result.estimate == 400
+        assert counters.get("count_nfta.trees_built", 0) == 0
+
+    @pytest.mark.parametrize("backend", ["reference", "optimized"])
+    def test_sampling_builds_only_the_drawn_trees(self, backend):
+        nfta = self._wide_product()
+        trees, counters = self._counters(lambda: sample_accepted_trees(
+            nfta, 3, k=5, seed=1, exact_set_cap=4096, backend=backend
+        ))
+        assert len(trees) == 5
+        built = counters["count_nfta.trees_built"]
+        # At most the drawn trees and their subtrees, never the
+        # 400-tree language.
+        assert 0 < built <= sum(tree.size for tree in trees)
+
+    def test_product_view_indexes_in_nested_loop_order(self):
+        # A draw from an exact product is rng.randrange(size) into the
+        # language enumerated by nested loops over the children (last
+        # child fastest); each child language lists its leaves in
+        # str-sorted symbol order.
+        nfta = self._wide_product(3, 5)
+        trees = sample_accepted_trees(nfta, 3, k=20, seed=3)
+        left = sorted((f"a{i}" for i in range(3)), key=str)
+        right = sorted((f"b{j}" for j in range(5)), key=str)
+        language = [
+            LabeledTree("σ", (leaf(a), leaf(b)))
+            for a in left
+            for b in right
+        ]
+        rng = random.Random(3)
+        assert trees == [language[rng.randrange(15)] for _ in range(20)]
+
+    def test_union_draws_from_exact_children_build_no_tree(self):
+        # Two overlapping components over the same exact child languages:
+        # the union exceeds the cap and is sampled, each component
+        # product fits under it.
+        transitions = [
+            ("root", "σ", ("left", "right")),
+            ("root", "σ", ("left2", "right")),
+        ]
+        for i in range(20):
+            transitions += [
+                ("left", f"a{i}", ()), ("left2", f"a{i}", ()),
+                ("right", f"b{i}", ()),
+            ]
+        nfta = NFTA(transitions, initial="root")
+        result, counters = self._counters(lambda: count_nfta(
+            nfta, 3, seed=1, samples=50, exact_set_cap=500
+        ))
+        assert not result.exact
+        assert counters["count_nfta.samples_drawn"] == result.samples_used
+        assert counters["count_nfta.membership_checks"] == (
+            result.samples_used
+        )
+        assert counters.get("count_nfta.trees_built", 0) == 0
+
+
+class TestComponentMembership:
+    """Union membership must test every child of a component."""
+
+    @staticmethod
+    def _shared_first_child() -> NFTA:
+        # Two components σ(x, y1) and σ(x, y2) share their first child
+        # state; y1 and y2 derive disjoint leaves, so the components are
+        # disjoint and each tree belongs to exactly one of them.
+        transitions = [
+            ("root", "σ", ("x", "y1")),
+            ("root", "σ", ("x", "y2")),
+        ]
+        transitions += [("x", f"a{i}", ()) for i in range(3)]
+        transitions += [("y1", f"b{i}", ()) for i in range(4)]
+        transitions += [("y2", f"c{i}", ()) for i in range(4)]
+        return NFTA(transitions, initial="root")
+
+    def test_sampled_union_accepts_every_draw_of_disjoint_components(self):
+        nfta = self._shared_first_child()
+        assert count_nfta_exact(nfta, 3) == 24
+        result = count_nfta(nfta, 3, seed=1, samples=200, exact_set_cap=0)
+        assert not result.exact
+        assert result.estimate == 24.0
+
+    def test_exact_union_keeps_trees_of_disjoint_components(self):
+        nfta = self._shared_first_child()
+        result = count_nfta(nfta, 3, seed=1, exact_set_cap=4096)
+        assert result.exact
+        assert result.estimate == 24.0

@@ -204,6 +204,33 @@ def test_counters_identical_across_runs_and_worker_counts():
     assert _counters_at(4) == baseline
 
 
+def _sampler_counters_at(workers: int, seed: int = 5) -> dict:
+    """Gadget and native-weight FPRAS items whose small exact-set cap
+    mixes exact nodes with sampled unions."""
+    pdb = _path_pdb()
+    items = [
+        BatchItem(query, pdb, method=method)
+        for query in (RS_QUERY, RST_QUERY)
+        for method in ("fpras", "fpras-weighted")
+    ]
+    engine = PQEEngine(seed=seed, exact_set_cap=64)
+    batch = engine.evaluate_batch(
+        items, seed=seed, max_workers=workers, telemetry=True
+    )
+    return batch.telemetry.metrics.deterministic_counters()
+
+
+def test_sampler_work_counters_identical_across_worker_counts():
+    """``count_nfta.trees_built`` and ``count_nfta.membership_checks``
+    are per-run counts, added once per run: nothing from the
+    process-global plan memos, so they sit inside the contract."""
+    baseline = _sampler_counters_at(1)
+    assert baseline["count_nfta.trees_built"] > 0
+    assert baseline["count_nfta.membership_checks"] > 0
+    for workers in (1, 4):
+        assert _sampler_counters_at(workers) == baseline
+
+
 def test_scheduling_sensitive_counters_are_catalogued():
     # inflight waits cannot occur at workers=1; the name must therefore
     # be excluded from the determinism contract, and is.
