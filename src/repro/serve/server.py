@@ -65,11 +65,7 @@ from pathlib import Path
 
 from repro.core.budget import EvaluationBudget
 from repro.core.estimator import PQEEngine
-from repro.core.journal import (
-    RequestJournal,
-    check_serve_fingerprint,
-    load_request_journal,
-)
+from repro.core.journal import RequestJournal
 from repro.core.parallel import BatchItem, evaluate_batch
 from repro.core.resilience import DegradationPolicy, degradation_ladder
 from repro.db.delta import Delta, VersionedDatabase
@@ -211,16 +207,12 @@ class PQEServer:
 
         # Warm restart: replay the previous instance's request journal.
         self.journal: RequestJournal | None = None
+        self._replay = None
         self._replayable = {}
         if self.config.journal is not None:
-            loaded = load_request_journal(self.config.journal)
-            check_serve_fingerprint(
-                loaded, self.fingerprint(), self.config.journal
-            )
-            self._replayable = dict(loaded.requests)
             self.journal = RequestJournal(self.config.journal)
-            if loaded.header is None:
-                self.journal.write_serve_header(self.fingerprint())
+            self._replay = self.journal.bind(self.fingerprint())
+            self._replayable = self._replay.requests
 
     # -- identity -------------------------------------------------------
 
@@ -316,7 +308,7 @@ class PQEServer:
             record = None
         if record is not None:
             self._inc("serve.replays")
-            answer = _restore(record)
+            answer = self._replay.restore_answer(key)
             return 200, self._success_body(
                 answer,
                 trace_id=trace_id,
@@ -824,12 +816,6 @@ class PQEServer:
             self._httpd.server_close()
         self._drained.set()
         return clean
-
-
-def _restore(record: dict):
-    from repro.core.journal import _restore_answer
-
-    return _restore_answer(record["answer"])
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
