@@ -11,7 +11,8 @@ The acceptance scenarios for the crash-safety layer:
   probability.
 
 When ``CHAOS_ARTIFACT_DIR`` is set (the CI chaos job), the recovered
-journal from the CLI scenario is copied there for artifact upload.
+journal from the CLI scenario — and its ``.quarantine`` sibling, when a
+damaged tail was cut off — is copied there for artifact upload.
 """
 
 import json
@@ -92,6 +93,9 @@ def _export_artifact(path):
     if artifact_dir:
         os.makedirs(artifact_dir, exist_ok=True)
         shutil.copy(path, artifact_dir)
+        quarantine = f"{path}.quarantine"
+        if os.path.exists(quarantine):
+            shutil.copy(quarantine, artifact_dir)
 
 
 class TestSigkillResumeIdentity:

@@ -11,7 +11,8 @@ while a delta publishes *n+1* returns answers bitwise-consistent with
 exactly one of the two versions.
 
 When ``CHAOS_ARTIFACT_DIR`` is set (the CI chaos/delta jobs), the
-recovered delta journal is copied there for artifact upload.
+recovered delta journal — and its ``.quarantine`` sibling, when a
+damaged tail was cut off — is copied there for artifact upload.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def _export_artifact(path):
     if artifact_dir:
         os.makedirs(artifact_dir, exist_ok=True)
         shutil.copy(path, artifact_dir)
+        quarantine = f"{path}.quarantine"
+        if os.path.exists(quarantine):
+            shutil.copy(quarantine, artifact_dir)
 
 
 def _crash_apply(wal, step, crash):
