@@ -24,7 +24,12 @@ The measurements double as CI perf-regression gates (run by the
   :class:`~repro.automata.optimize.DenseNFTA` for the optimized tier;
   building the :class:`~repro.core.vectorized.VectorLayerTable` from
   the (shared, already-gated) dense compile for the vectorized tier,
-  whose lazy memo tables fill during the DP, not up front.
+  whose lazy memo tables fill during the DP, not up front;
+- ``test_auto_tracks_the_faster_tier``: the default ``auto`` backend's
+  cold pass is within 1.25× of the faster forced tier on every
+  workload (within 1.2× of optimized without numpy), so the
+  per-automaton tier choice never picks the slow side of the
+  crossover.
 
 All backends return bitwise-identical counts — asserted here too, on
 the real workloads (the differential suite covers the corpus).
@@ -110,7 +115,7 @@ def run_kernels() -> ResultTable:
         "K1: counting-kernel speedup (cold, per backend)",
         [
             "workload", "states", "transitions", "tree size",
-            "ref (s)", "opt (s)", "vec (s)", "opt x", "vec x",
+            "ref (s)", "opt (s)", "vec (s)", "auto (s)", "opt x", "vec x",
         ],
     )
     for label, query, domain_size, facts in WORKLOADS:
@@ -123,6 +128,8 @@ def run_kernels() -> ResultTable:
             assert vec_value == count, "backends disagree"
         else:
             vec_time = float("nan")
+        auto_value, auto_time = _best_of(_cold_pass(reduction, "auto"))
+        assert auto_value == count, "backends disagree"
         table.add_row([
             label,
             len(reduction.nfta.states),
@@ -131,6 +138,7 @@ def run_kernels() -> ResultTable:
             ref_time,
             opt_time,
             vec_time,
+            auto_time,
             ref_time / opt_time if opt_time else float("inf"),
             opt_time / vec_time if vec_time else float("inf"),
         ])
@@ -232,6 +240,40 @@ def test_vectorized_preprocessing_amortized_below_5_percent():
         f"{100 * prep_time / dp_time:.1f}% of a cold vectorized DP "
         f"pass ({dp_time:.3f}s); the <5% amortisation gate failed"
     )
+
+
+def test_auto_tracks_the_faster_tier():
+    """The default backend picks its exact-DP tier per automaton: on
+    every workload its cold pass is within 1.25x of the faster forced
+    tier (without numpy, within 1.2x of optimized).  The small rows
+    take milliseconds, so the backends are timed interleaved, best of
+    7 rounds each, and host drift hits them alike; the previous pass's
+    tables are freed before the clock starts, so no backend pays for
+    another's deallocation."""
+    from repro.core.kernels import vectorized_available
+
+    backends = ["auto", "optimized"]
+    if vectorized_available():
+        backends.append("vectorized")
+    slack = 1.25 if "vectorized" in backends else 1.2
+    for label, query, domain_size, facts in WORKLOADS:
+        reduction = _weighted_reduction(query, domain_size, facts)
+        passes = {backend: _cold_pass(reduction, backend)
+                  for backend in backends}
+        values = {}
+        best = dict.fromkeys(backends, float("inf"))
+        for _round in range(7):
+            for backend in backends:
+                clear_kernel_caches()
+                values[backend], elapsed = timed(passes[backend])
+                best[backend] = min(best[backend], elapsed)
+        assert len(set(values.values())) == 1, "backends disagree"
+        fastest = min(backends[1:], key=best.get)
+        assert best["auto"] <= slack * best[fastest], (
+            f"auto cold pass {best['auto']:.4f}s on {label} is more "
+            f"than {slack}x the faster forced tier ({fastest} "
+            f"{best[fastest]:.4f}s)"
+        )
 
 
 def test_speedup_never_regresses_on_smaller_workloads():

@@ -35,21 +35,23 @@ child and a rejected draw builds no tree.  Masks are computed only
 where membership is asked: in union draws and in the deduplication of
 unweighted exact unions.
 
-Every entry point takes a ``backend`` knob (default ``"optimized"``;
+Every entry point takes a ``backend`` knob (default ``"auto"``;
 see :mod:`repro.core.kernels` and ``docs/performance.md``).  The
-optimized backend runs the exact DP over dense pruned bitmask indexes
-with process-wide memoized layers, shares seed-independent sampling
-plans (with their mask memos) across repetitions and batch items, and
-batches the per-sample budget/metric ticks — while producing
+optimized backend, which ``auto`` builds on, runs the exact DP over
+dense pruned bitmask indexes with process-wide memoized layers, shares
+seed-independent sampling plans (with their mask memos) across
+repetitions and batch items, and batches the per-sample budget/metric
+ticks — while producing
 bitwise-identical counts, estimates and sampled trees: exact DP terms
 are summed in exact arithmetic (order-free; float weights fall back to
 the reference DP), and all backends run the same sampling loops, which
 consume the RNG streams in exactly the reference order.  The
 ``vectorized`` backend (:mod:`repro.core.vectorized`; requires the
 optional numpy extra) lowers that same exact layer DP to batched numpy
-operations under the same bitwise guarantee.  The differential suite
+operations under the same bitwise guarantee; ``auto`` picks one of
+the two exact tiers per automaton.  The differential suite
 (``tests/test_kernel_differential.py``) enforces this equivalence
-across all three backends, and no seeded result depends on
+across every backend, and no seeded result depends on
 ``PYTHONHASHSEED``.
 """
 
@@ -95,14 +97,17 @@ def count_nfta_exact(nfta: NFTA, size: int, weight_of=None, backend=None):
     ``method='exact-weighted'``).  Weights may be ints, Fractions, or
     floats; the result type follows the weights (int when unweighted).
 
-    ``backend='optimized'`` (the default) runs the layer DP of
+    ``backend='optimized'`` runs the layer DP of
     :mod:`repro.core.kernels` over the pruned dense automaton, with
     layers memoized under the automaton fingerprint; exact arithmetic
     makes the result bitwise-equal to the reference.
     ``backend='vectorized'`` lowers the same layer DP to numpy array
     batches (:mod:`repro.core.vectorized`) with the identical bitwise
-    guarantee.  Float weights (whose summation order matters)
-    automatically use the reference DP under either backend.
+    guarantee.  ``backend='auto'`` (the default) picks one of the two
+    per automaton from its dense state count and numpy availability.
+    Float weights (whose summation order matters) automatically use
+    the reference DP under every backend.  The ``counting.nfta_exact``
+    span's ``tier`` tag names the DP that actually ran.
     """
     from repro.core import kernels
 
@@ -114,23 +119,24 @@ def count_nfta_exact(nfta: NFTA, size: int, weight_of=None, backend=None):
     fault_point("counting.nfta")
     weigh = weight_of if weight_of is not None else (lambda _symbol: 1)
 
-    if backend != "reference":
-        with span("counting.nfta_exact", size=size, backend=backend):
+    with span("counting.nfta_exact", size=size, backend=backend) as active:
+        tier, result = "reference", kernels.FLOAT_WEIGHTS
+        if backend != "reference":
             budget_checkpoint("counting.nfta")
-            result = kernels.dense_exact_count(
+            tier, result = kernels.dense_exact_count(
                 nfta, size, weigh,
                 checkpoint=lambda: budget_checkpoint("counting.nfta"),
                 backend=backend,
             )
-            if result is not kernels.FLOAT_WEIGHTS:
-                # Keep the per-call ``dp_cells`` total equal to the
-                # reference's one-increment-per-size, whether or not
-                # the layers came from the shared table.
-                metric_inc("count_nfta.dp_cells", size)
-                return result
-            return _count_nfta_exact_reference(nfta, size, weigh)
-    with span("counting.nfta_exact", size=size, backend=backend):
-        return _count_nfta_exact_reference(nfta, size, weigh)
+        if result is kernels.FLOAT_WEIGHTS:
+            result = _count_nfta_exact_reference(nfta, size, weigh)
+        else:
+            # Keep the per-call ``dp_cells`` total equal to the
+            # reference's one-increment-per-size, whether or not the
+            # layers came from the shared table.
+            metric_inc("count_nfta.dp_cells", size)
+        active.tag(tier=tier)
+        return result
 
 
 def _count_nfta_exact_reference(nfta: NFTA, size: int, weigh):
@@ -1090,13 +1096,14 @@ def count_nfta(
     front from ``seed``, so the result is bitwise-identical to the
     sequential run regardless of how the executor schedules the tasks.
 
-    ``backend='optimized'`` (the default) shares the seed-independent
-    counter plan across repetitions and batch items and batches the
-    per-sample accounting; every estimate, accepted flag and sampled
-    tree is bitwise-identical to ``backend='reference'``.
-    ``backend='vectorized'`` takes the same sampling path — vectorizing
-    a loop that must consume the RNG stream in reference order would
-    buy nothing — so all three backends sample identically.
+    ``backend='optimized'`` (and the default ``'auto'``) shares the
+    seed-independent counter plan across repetitions and batch items
+    and batches the per-sample accounting; every estimate, accepted
+    flag and sampled tree is bitwise-identical to
+    ``backend='reference'``.  ``backend='vectorized'`` takes the same
+    sampling path — vectorizing a loop that must consume the RNG stream
+    in reference order would buy nothing — so every backend samples
+    identically.
     """
     from repro.core import kernels
 

@@ -411,11 +411,13 @@ def _run_serve(arguments: list[str]) -> int:
              "request content (default 2023)",
     )
     parser.add_argument(
-        "--kernel-backend", default="optimized",
-        choices=["optimized", "vectorized", "reference"],
-        help="counting-kernel implementation; 'vectorized' degrades "
-             "to 'optimized' when numpy is missing (counted as "
-             "kernels.vectorized.unavailable in /stats)",
+        "--kernel-backend", default="auto",
+        choices=["auto", "optimized", "vectorized", "reference"],
+        help="counting-kernel implementation (default auto: the exact "
+             "DP picks its scalar or numpy tier per automaton); "
+             "'vectorized' degrades to 'optimized' when numpy is "
+             "missing (counted as kernels.vectorized.unavailable in "
+             "/stats)",
     )
     parser.add_argument(
         "--isolation", choices=("thread", "process"), default="thread",
@@ -1029,13 +1031,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="median-of-k amplification for randomized methods",
     )
     parser.add_argument(
-        "--kernel-backend", default="optimized",
-        choices=["optimized", "vectorized", "reference"],
+        "--kernel-backend", default="auto",
+        choices=["auto", "optimized", "vectorized", "reference"],
         help="counting-kernel implementation (bitwise-identical "
-             "results; 'vectorized' batches the layer DP through numpy "
-             "(the [vectorized] extra), 'reference' is the direct "
-             "transcription of the paper's pseudocode, for triage — "
-             "see docs/performance.md)",
+             "results; default auto: the exact DP runs the numpy tier "
+             "on large automata when numpy is installed; 'optimized' "
+             "and 'vectorized' force the scalar or numpy tier, "
+             "'reference' is the direct transcription of the paper's "
+             "pseudocode, for triage — see docs/performance.md)",
     )
     parser.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",

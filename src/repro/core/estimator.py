@@ -213,15 +213,18 @@ class PQEEngine:
         ``cache`` arguments override it.
     kernel_backend:
         Counting-kernel implementation used by the FPRAS, Karp–Luby
-        and RPQ routes: ``'optimized'`` (default; dense-interned layer
-        DP and batched sampling, see :mod:`repro.core.kernels`),
-        ``'vectorized'`` (the numpy layer DP of
-        :mod:`repro.core.vectorized`; requires the ``[vectorized]``
-        extra) or ``'reference'`` (the direct transcription of the
-        paper's pseudocode).  All produce bitwise-identical answers
-        for any seed — the knob exists for speed, differential testing
-        and triage.  When ``'vectorized'`` is requested but numpy is
-        missing the engine degrades to ``'optimized'`` (recording
+        and RPQ routes: ``'auto'`` (default; the optimized machinery,
+        with the exact DP picking its scalar or numpy tier per
+        automaton — see :data:`repro.core.kernels.VECTOR_MIN_STATES`),
+        ``'optimized'`` (dense-interned layer DP and batched sampling,
+        see :mod:`repro.core.kernels`), ``'vectorized'`` (the numpy
+        layer DP of :mod:`repro.core.vectorized`; requires the
+        ``[vectorized]`` extra) or ``'reference'`` (the direct
+        transcription of the paper's pseudocode).  All produce
+        bitwise-identical answers for any seed — the explicit tiers
+        exist for differential testing and triage.  When
+        ``'vectorized'`` is requested but numpy is missing the engine
+        degrades to ``'optimized'`` (recording
         ``kernels.vectorized.unavailable``) rather than failing, since
         the answers are identical either way.
     """
@@ -234,7 +237,7 @@ class PQEEngine:
         repetitions: int = 1,
         cache: ReductionCache | None = None,
         exact_set_cap: int = 4096,
-        kernel_backend: str = "optimized",
+        kernel_backend: str = "auto",
     ):
         from repro.core.kernels import fallback_backend
 

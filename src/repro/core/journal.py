@@ -293,14 +293,13 @@ class ChecksummedLog:
                 phase=self.phase,
             )
 
-    def bind(self, expected: str, *, check: bool = True, **header):
+    def bind(self, expected: str, **header):
         """Open the log for its owner: load the verified prefix, check
-        the header binding (unless ``check`` is false), and write the
-        header — ``expected`` plus the extra ``header`` fields — when
-        the log has none.  Returns the loaded prefix."""
+        the header binding, and write the header — ``expected`` plus
+        the extra ``header`` fields — when the log has none.  Returns
+        the loaded prefix."""
         loaded = self.load()
-        if check:
-            self.check_binding(loaded.header, expected)
+        self.check_binding(loaded.header, expected)
         if loaded.header is None:
             self.write_header(expected, **header)
         return loaded

@@ -4,14 +4,16 @@ This module is the process-wide home of the ``optimized`` counting
 backend (see ``docs/performance.md``):
 
 - :func:`resolve_backend` — the
-  ``backend="reference"|"optimized"|"vectorized"`` knob threaded
+  ``backend="auto"|"reference"|"optimized"|"vectorized"`` knob threaded
   through ``count_nfta_exact``, the estimators,
   :class:`~repro.core.estimator.PQEEngine` and the CLI.  The
   ``vectorized`` backend (numpy; the optional ``[vectorized]`` extra —
   see :mod:`repro.core.vectorized`) swaps the scalar layer DP for a
   batched array one and reuses the optimized machinery everywhere
   else; :func:`fallback_backend` is the engine/serve entry point that
-  degrades it to ``optimized`` when numpy is missing;
+  degrades it to ``optimized`` when numpy is missing.  ``auto`` (the
+  default) runs the optimized machinery and lets the exact DP pick its
+  tier per automaton (:data:`VECTOR_MIN_STATES`);
 - :func:`dense_exact_count` — a layer-at-a-time bottom-up DP over the
   :class:`~repro.automata.optimize.DenseNFTA` bitmask indexes.  Its
   per-size layers are memoized under the automaton
@@ -61,6 +63,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "FLOAT_WEIGHTS",
     "TickBatcher",
+    "VECTOR_MIN_STATES",
     "clear_kernel_caches",
     "dense_automaton",
     "dense_exact_count",
@@ -72,8 +75,15 @@ __all__ = [
     "vectorized_available",
 ]
 
-BACKENDS = ("reference", "optimized", "vectorized")
-DEFAULT_BACKEND = "optimized"
+BACKENDS = ("auto", "reference", "optimized", "vectorized")
+DEFAULT_BACKEND = "auto"
+
+#: Under ``backend="auto"`` the exact layer DP runs the numpy tier on
+#: automata with at least this many dense states (and the scalar tier
+#: below it, or without numpy).  Measured cold: numpy loses below ~57
+#: states (0.2-0.75x), breaks even around 57-69 and wins 1.5-5x from
+#: ~97 up; see the crossover table in ``docs/performance.md``.
+VECTOR_MIN_STATES = 64
 
 #: Sentinel returned by :func:`dense_exact_count` when the weight
 #: vector contains floats: float addition is order-dependent, so only
@@ -89,7 +99,7 @@ def vectorized_available() -> bool:
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalise a backend knob (``None`` means the default).
+    """Normalise a backend knob (``None`` means ``'auto'``).
 
     Raises a contextual :class:`~repro.errors.ReproError` for unknown
     names, and for ``'vectorized'`` when numpy (the ``[vectorized]``
@@ -107,7 +117,7 @@ def resolve_backend(backend: str | None) -> str:
             "kernel backend 'vectorized' requires numpy, which is not "
             "installed; install the optional extra "
             "(pip install 'repro[vectorized]') or choose from "
-            "('reference', 'optimized')"
+            "('auto', 'reference', 'optimized')"
         )
     return backend
 
@@ -121,7 +131,8 @@ def fallback_backend(backend: str | None) -> str:
     so degrading silently is safe; the
     ``kernels.vectorized.unavailable`` counter records that it
     happened (like all ``kernels.*`` counters, outside the determinism
-    contract).
+    contract).  ``'auto'`` never probes numpy here: the exact DP
+    checks per automaton, and only when one is large enough to want it.
     """
     if backend == "vectorized" and not vectorized_available():
         metric_inc("kernels.vectorized.unavailable")
@@ -402,28 +413,45 @@ class _LayerTable:
         yield from rec(0, total)
 
 
+def _exact_tier(dense: DenseNFTA, backend: str) -> str:
+    """The layer DP tier that counts ``dense``: an explicit tier forces
+    itself; ``'auto'`` takes ``'vectorized'`` from
+    :data:`VECTOR_MIN_STATES` dense states up when numpy is importable,
+    else ``'optimized'``.  The state count is checked first, so small
+    automata never import numpy."""
+    if backend != "auto":
+        return backend
+    if dense.num_states >= VECTOR_MIN_STATES and vectorized_available():
+        return "vectorized"
+    return "optimized"
+
+
 def dense_exact_count(
     nfta: NFTA, size: int, weigh, checkpoint: Callable[[], None],
-    backend: str = "optimized",
+    backend: str = "auto",
 ):
-    """Exact weighted count of size-``size`` accepted trees, or
-    :data:`FLOAT_WEIGHTS` when the weight vector forces the reference
-    summation order.
+    """``(tier, count)``: the exact weighted count of size-``size``
+    accepted trees and the layer DP tier (``'optimized'`` or
+    ``'vectorized'``) that computed it — or ``('reference',``
+    :data:`FLOAT_WEIGHTS` ``)`` when the weight vector forces the
+    reference summation order, which the caller then runs.
 
     Bitwise-equal to the reference DP for int/Fraction weights: both
-    backends sum exactly the same per-tree weight terms, and exact
-    arithmetic makes the grouping irrelevant.  ``backend='vectorized'``
-    runs the numpy layer DP of :mod:`repro.core.vectorized` instead of
-    the scalar one; its layer tables are memoized separately (under
-    ``("vlayers", …)``) so the two artefact families never shadow each
-    other.
+    tiers sum exactly the same per-tree weight terms, and exact
+    arithmetic makes the grouping irrelevant.  The tier comes from
+    ``backend`` (see :func:`_exact_tier`); the numpy tier's layer
+    tables are memoized under ``("vlayers", …)`` and the scalar tier's
+    under ``("layers", …)``, keyed by the tier that ran, so ``'auto'``
+    and an explicit tier share memos and the two artefact families
+    never shadow each other.
     """
     dense = dense_automaton(nfta)
     weights = tuple(weigh(symbol) for symbol in dense.symbols)
     for weight in weights:
         if isinstance(weight, float):
-            return FLOAT_WEIGHTS
-    if backend == "vectorized":
+            return "reference", FLOAT_WEIGHTS
+    tier = _exact_tier(dense, backend)
+    if tier == "vectorized":
         from repro.core import vectorized
 
         table = _layer_store.get_or_build(
@@ -435,7 +463,7 @@ def dense_exact_count(
             ("layers", dense.fingerprint, weights),
             lambda: _LayerTable(dense, weights),
         )
-    return table.count(size, checkpoint)
+    return tier, table.count(size, checkpoint)
 
 
 def vector_nfa_count(nfa, length: int, weight_of=None, max_subsets=None):

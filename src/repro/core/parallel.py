@@ -760,9 +760,10 @@ def evaluate_batch(
         journal_log = (
             journal_mod.BatchJournal(journal) if owns_journal else journal
         )
-        loaded = journal_log.bind(
-            fingerprint, check=resume, seed=seed, items=len(batch)
-        )
+        # Checked on every journalled run, not only on resume: a run
+        # that appended under another batch's header would hand that
+        # batch's next resume records it never computed.
+        loaded = journal_log.bind(fingerprint, seed=seed, items=len(batch))
         if resume:
             for index in loaded.completed():
                 if index >= len(batch):

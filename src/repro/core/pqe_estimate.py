@@ -303,7 +303,8 @@ def pqe_estimate(
         median-of-``repetitions`` runs are fanned out (see
         :func:`repro.automata.nfta_counting.count_nfta`).
     backend:
-        Counting-kernel backend, ``'optimized'`` (default),
+        Counting-kernel backend, ``'auto'`` (default; the exact DP
+        picks its tier per automaton), ``'optimized'``,
         ``'vectorized'`` (numpy layer DP; optional extra) or
         ``'reference'`` — see :mod:`repro.core.kernels`.  All are
         bitwise-identical for any seed; the knob exists for speed,

@@ -83,8 +83,8 @@ def ur_estimate(
         Optional :class:`concurrent.futures.Executor` over which
         median-of-``repetitions`` runs are fanned out.
     backend:
-        Counting-kernel backend, ``'optimized'`` (default),
-        ``'vectorized'`` or ``'reference'`` — see
+        Counting-kernel backend, ``'auto'`` (default),
+        ``'optimized'``, ``'vectorized'`` or ``'reference'`` — see
         :mod:`repro.core.kernels`.  Bitwise-identical results under
         every knob.
     """

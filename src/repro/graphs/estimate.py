@@ -185,7 +185,9 @@ def rpq_probability_estimate(
     (:func:`repro.core.kernels.vector_nfa_count`) with a
     bitwise-identical count and an identical frontier bail-out, while
     the FPRAS sampling route is backend-independent (one shared
-    RNG-order-bound loop).  The backend joins the exact-count cache
+    RNG-order-bound loop).  ``'auto'`` keeps the scalar string DP:
+    the pinned RPQ products (8-45 states) all run faster without
+    numpy.  The backend joins the exact-count cache
     key so hit/miss accounting stays per-knob even though the cached
     values are interchangeable.
     """

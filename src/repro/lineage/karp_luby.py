@@ -69,7 +69,7 @@ def karp_luby_probability(
     Each sample charges one work unit against any active
     :class:`~repro.core.budget.EvaluationBudget`.
 
-    ``backend='optimized'`` (the default; see
+    ``backend='optimized'`` (and the default ``'auto'``; see
     :mod:`repro.core.kernels`) interns the relevant facts to bit
     positions so worlds are int masks, precomputes each clause's
     free-fact list, and batches the per-sample budget/metric ticks.

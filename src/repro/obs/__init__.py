@@ -144,7 +144,10 @@ class _NoopSpan:
     __slots__ = ()
 
     def __enter__(self):
-        return None
+        return self
+
+    def tag(self, **tags) -> None:
+        pass
 
     def __exit__(self, exc_type, exc, tb):
         return False

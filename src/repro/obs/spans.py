@@ -96,6 +96,10 @@ class _ActiveSpan:
         self._span_id = tracer._allocate_id()
         self._parent_id = _CURRENT_SPAN.get()
 
+    def tag(self, **tags) -> None:
+        """Add tags known only once the span's work has run."""
+        self._tags.update(tags)
+
     def __enter__(self) -> "_ActiveSpan":
         self._token = _CURRENT_SPAN.set(self._span_id)
         self._wall = time.time()

@@ -109,9 +109,10 @@ class ServerConfig:
     seed: int = 2023
     isolation: str = "thread"          # 'process' contains crashes
     memory_limit: int | None = None
-    #: Counting-kernel backend; 'vectorized' degrades to 'optimized'
-    #: when numpy is missing (``kernels.vectorized.unavailable``).
-    kernel_backend: str = "optimized"
+    #: Counting-kernel backend; 'auto' picks the exact DP tier per
+    #: automaton, 'vectorized' degrades to 'optimized' when numpy is
+    #: missing (``kernels.vectorized.unavailable``).
+    kernel_backend: str = "auto"
     # breaker
     breaker_threshold: int = 3
     breaker_window: float = 60.0
@@ -833,8 +834,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
+        # Status line, headers and body leave in one write: a second
+        # small send would wait out the client's delayed ACK (~40 ms)
+        # on a kept-alive connection.  ``end_headers`` without its
+        # flush is the header terminator plus the body.
+        self._headers_buffer.append(b"\r\n" + blob)
+        self.flush_headers()
 
     def do_GET(self):  # noqa: N802 - stdlib casing
         server = self.pqe_server

@@ -146,6 +146,7 @@ def test_golden_corpus_matches(update_golden):
     [
         "reference",
         "optimized",
+        "auto",
         pytest.param(
             "vectorized",
             marks=pytest.mark.skipif(

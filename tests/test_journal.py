@@ -198,6 +198,21 @@ class TestFingerprint:
         with pytest.raises(JournalError):
             engine.resume_batch(rs_items, seed=99, journal=path)
 
+    def test_plain_run_refuses_another_batchs_journal(
+        self, tmp_path, engine, rs_items
+    ):
+        """Without ``resume`` the binding is still checked: appending
+        under a foreign header would let that batch's next resume
+        replay records it never computed."""
+        path = tmp_path / "batch.jsonl"
+        engine.evaluate_batch(rs_items, seed=11, journal=path)
+        before = path.read_bytes()
+        with pytest.raises(JournalError, match="different batch"):
+            engine.evaluate_batch(rs_items[:2], seed=11, journal=path)
+        assert path.read_bytes() == before
+        resumed = engine.resume_batch(rs_items, seed=11, journal=path)
+        assert all(result.replayed for result in resumed.results)
+
     def test_headerless_journal_resumes_fresh(self, tmp_path):
         check_fingerprint(
             load_journal(tmp_path / "absent.jsonl"), "fp", "absent"

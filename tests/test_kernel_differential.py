@@ -4,9 +4,9 @@ The optimized and vectorized backends (:mod:`repro.core.kernels` over
 :mod:`repro.automata.optimize`, and :mod:`repro.core.vectorized`)
 promise *bitwise-identical* results to the reference transcription for
 any input and any seed — not "close", identical.  This module enforces
-that promise over the full backend cross product (the ``vectorized``
-legs drop out cleanly when numpy is not installed) on the repository's
-existing corpus:
+that promise over the full backend cross product, including the
+default ``auto`` (the ``vectorized`` legs drop out cleanly when numpy
+is not installed), on the repository's existing corpus:
 
 - every automaton shape used by ``test_nfta_counting`` (Catalan, random
   NFTAs with dead/unreachable/duplicate structure, ambiguous and
@@ -57,7 +57,7 @@ from test_nfta_counting import _catalan_automaton, _random_nfta
 
 from repro.core.kernels import vectorized_available
 
-BACKENDS = ("reference", "optimized") + (
+BACKENDS = ("reference", "optimized", "auto") + (
     ("vectorized",) if vectorized_available() else ()
 )
 

@@ -1,7 +1,7 @@
-"""The vectorized backend's own contracts: overflow and degradation.
+"""The vectorized backend's own contracts: overflow, degradation and
+the ``auto`` tier choice.
 
-Two properties the three-backend differential suite cannot pin by
-itself:
+Three properties the backend differential suite cannot pin by itself:
 
 - **the object-dtype overflow fallback** — weighted counts that
   straddle 2^63 must silently switch the numpy DP from ``int64`` to
@@ -17,21 +17,34 @@ itself:
   auto-fall back to ``'optimized'`` and count the degradation as
   ``kernels.vectorized.unavailable``.  The other two backends stay
   untouched, so tier-1 behaviour is numpy-independent.
+- **the per-automaton tier choice of ``auto``** — the exact DP runs the
+  numpy tier from :data:`~repro.core.kernels.VECTOR_MIN_STATES` dense
+  states up and the scalar tier below it (or without numpy, silently:
+  nobody asked for numpy), bitwise-equal to the reference either way;
+  and a default engine and daemon start without importing numpy.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.core.vectorized as vectorized
+from repro.automata.nfta import NFTA
 from repro.automata.nfta_counting import count_nfta_exact
+from repro.automata.optimize import optimize_nfta
 from repro.core.estimator import PQEEngine
 from repro.core.kernels import (
+    VECTOR_MIN_STATES,
     clear_kernel_caches,
     fallback_backend,
     resolve_backend,
@@ -162,7 +175,7 @@ def test_other_backends_are_numpy_independent(monkeypatch):
     _without_numpy(monkeypatch)
     assert resolve_backend("optimized") == "optimized"
     assert resolve_backend("reference") == "reference"
-    assert resolve_backend(None) == "optimized"
+    assert resolve_backend(None) == "auto"
     assert fallback_backend("optimized") == "optimized"
 
 
@@ -240,3 +253,121 @@ def test_random_small_weight_parity():
         )
         assert actual == expected
         assert type(actual) is type(expected)
+
+
+# ---------------------------------------------------------------------------
+# auto: the exact DP picks its tier per automaton
+
+
+def _ladder_automaton(states: int) -> NFTA:
+    """An NFTA whose dense compile keeps exactly ``states`` states: a
+    unary/binary ladder q0 → q1 → … → q{n-1} with leaves on every third
+    rung and at the bottom, every state reachable and productive."""
+    last = f"q{states - 1}"
+    transitions = [(last, "b", ())]
+    for i in range(states - 1):
+        transitions.append((f"q{i}", "a", (f"q{i + 1}",)))
+        transitions.append((f"q{i}", "c", (f"q{i + 1}", last)))
+        if i % 3 == 0:
+            transitions.append((f"q{i}", "b", ()))
+    return NFTA(transitions, initial="q0")
+
+
+_LADDER_WEIGHTS = {"a": 2, "b": 3, "c": Fraction(5, 7)}
+
+
+def _auto_count(nfta, size, weight_of=None):
+    clear_kernel_caches()
+    telemetry = EvaluationTelemetry()
+    with telemetry_scope(telemetry):
+        value = count_nfta_exact(
+            nfta, size, weight_of=weight_of, backend="auto"
+        )
+    (record,) = [
+        record for record in telemetry.spans
+        if record.name == "counting.nfta_exact"
+    ]
+    return value, telemetry, record.tag_dict
+
+
+@pytest.mark.parametrize("weight_of", [None, _LADDER_WEIGHTS.get])
+def test_auto_stays_scalar_just_below_the_threshold(weight_of):
+    nfta = _ladder_automaton(VECTOR_MIN_STATES - 1)
+    assert optimize_nfta(nfta).num_states == VECTOR_MIN_STATES - 1
+    expected = count_nfta_exact(
+        nfta, 9, weight_of=weight_of, backend="reference"
+    )
+    value, telemetry, tags = _auto_count(nfta, 9, weight_of)
+    assert value == expected and type(value) is type(expected)
+    assert expected  # a non-trivial count
+    assert telemetry.counter("kernels.layers_computed") == 9
+    assert telemetry.counter("kernels.vectorized_layers") == 0
+    assert tags == {"size": 9, "backend": "auto", "tier": "optimized"}
+
+
+@needs_numpy
+@pytest.mark.parametrize("weight_of", [None, _LADDER_WEIGHTS.get])
+def test_auto_goes_vectorized_at_the_threshold(weight_of):
+    nfta = _ladder_automaton(VECTOR_MIN_STATES)
+    assert optimize_nfta(nfta).num_states == VECTOR_MIN_STATES
+    expected = count_nfta_exact(
+        nfta, 9, weight_of=weight_of, backend="reference"
+    )
+    value, telemetry, tags = _auto_count(nfta, 9, weight_of)
+    assert value == expected and type(value) is type(expected)
+    assert telemetry.counter("kernels.vectorized_layers") == 9
+    assert tags["tier"] == "vectorized"
+
+
+def test_auto_without_numpy_runs_the_scalar_tier_silently(monkeypatch):
+    nfta = _ladder_automaton(VECTOR_MIN_STATES + 8)
+    forced = count_nfta_exact(
+        nfta, 9, weight_of=_LADDER_WEIGHTS.get, backend="optimized"
+    )
+    _without_numpy(monkeypatch)
+    assert fallback_backend("auto") == "auto"
+    value, telemetry, tags = _auto_count(nfta, 9, _LADDER_WEIGHTS.get)
+    assert value == forced and type(value) is type(forced)
+    assert telemetry.counter("kernels.vectorized_layers") == 0
+    assert telemetry.counter("kernels.layers_computed") == 9
+    # Nobody asked for numpy, so its absence is not a degradation.
+    assert telemetry.counter("kernels.vectorized.unavailable") == 0
+    assert tags["tier"] == "optimized"
+
+
+def test_span_names_the_reference_tier_for_float_weights():
+    nfta = _ladder_automaton(4)
+    value, _telemetry, tags = _auto_count(nfta, 5, lambda _symbol: 0.5)
+    assert value == count_nfta_exact(
+        nfta, 5, weight_of=lambda _symbol: 0.5, backend="reference"
+    )
+    assert tags["tier"] == "reference"
+
+
+_COLD_START = """
+import sys
+import repro.cli
+from repro.core.estimator import PQEEngine
+from repro.db.fact import Fact
+from repro.db.probabilistic import ProbabilisticDatabase
+from repro.serve import PQEServer, ServerConfig
+
+pdb = ProbabilisticDatabase({
+    Fact("R", ("a", "b")): "1/2", Fact("S", ("b", "c")): "1/3",
+})
+engine = PQEEngine()
+server = PQEServer(pdb, ServerConfig())
+assert engine.kernel_backend == server.engine.kernel_backend == "auto"
+print("numpy" in sys.modules)
+"""
+
+
+def test_default_engine_and_daemon_start_without_importing_numpy():
+    """Daemon cold start must not pay the numpy import: ``auto`` only
+    imports it when an automaton is large enough to want it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"

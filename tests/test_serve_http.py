@@ -6,6 +6,7 @@ status codes, JSON bodies, Content-Length framing — is what a real
 client sees.  Request-path *logic* is covered in ``test_serve.py``.
 """
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -15,6 +16,7 @@ import pytest
 from repro.db.fact import Fact
 from repro.db.probabilistic import ProbabilisticDatabase
 from repro.serve import PQEServer, ServerConfig
+from repro.serve import server as server_module
 
 pytestmark = pytest.mark.serve
 
@@ -126,6 +128,64 @@ class TestEndpoints:
         counters = server.telemetry.metrics.counters
         assert counters["serve.ok"] == 8
         assert counters["serve.registry.hits"] > 0
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile`` and records every ``write``."""
+
+    def __init__(self, inner, writes: list):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestWireWrites:
+    def test_each_response_is_one_write_on_a_kept_alive_connection(
+        self, server, monkeypatch
+    ):
+        """Status line, headers and body go out in one write: split
+        sends stall a kept-alive client on its delayed ACK."""
+        writes, connections = [], []
+        original_setup = server_module._RequestHandler.setup
+
+        def counting_setup(handler):
+            original_setup(handler)
+            connections.append(handler)
+            handler.wfile = _CountingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(
+            server_module._RequestHandler, "setup", counting_setup
+        )
+        client = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        try:
+            requests = [
+                ("GET", "/healthz", None),
+                ("POST", "/evaluate", json.dumps({"query": BASE})),
+                ("GET", "/stats", None),
+                ("GET", "/missing", None),
+            ]
+            for number, (method, path, body) in enumerate(requests, 1):
+                client.request(method, path, body=body)
+                response = client.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == (404 if path == "/missing" else 200)
+                assert isinstance(payload, dict)
+                assert len(writes) == number
+                assert writes[-1].startswith(b"HTTP/1.1 ")
+                assert writes[-1].endswith(
+                    json.dumps(payload, sort_keys=True).encode()
+                )
+        finally:
+            client.close()
+        assert len(connections) == 1  # every request reused one socket
 
 
 class TestDrainOverHttp:
