@@ -411,15 +411,6 @@ def _run_serve(arguments: list[str]) -> int:
              "request content (default 2023)",
     )
     parser.add_argument(
-        "--kernel-backend", default="auto",
-        choices=["auto", "optimized", "vectorized", "reference"],
-        help="counting-kernel implementation (default auto: the exact "
-             "DP picks its scalar or numpy tier per automaton); "
-             "'vectorized' degrades to 'optimized' when numpy is "
-             "missing (counted as kernels.vectorized.unavailable in "
-             "/stats)",
-    )
-    parser.add_argument(
         "--isolation", choices=("thread", "process"), default="thread",
         help="run evaluations in threads or forked workers "
              "(process contains crashes; default thread)",
@@ -504,7 +495,6 @@ def _run_serve(arguments: list[str]) -> int:
             seed=args.seed,
             isolation=args.isolation,
             memory_limit=args.memory_limit,
-            kernel_backend=args.kernel_backend,
             disk_cache=args.cache_dir,
             journal=args.journal,
             delta_journal=args.delta_journal,
@@ -931,6 +921,8 @@ def _epsilon(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.core.kernels import ENGINE_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -1031,14 +1023,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="median-of-k amplification for randomized methods",
     )
     parser.add_argument(
-        "--kernel-backend", default="auto",
-        choices=["auto", "optimized", "vectorized", "reference"],
-        help="counting-kernel implementation (bitwise-identical "
-             "results; default auto: the exact DP runs the numpy tier "
-             "on large automata when numpy is installed; 'optimized' "
-             "and 'vectorized' force the scalar or numpy tier, "
-             "'reference' is the direct transcription of the paper's "
-             "pseudocode, for triage — see docs/performance.md)",
+        "--kernel-backend", default="auto", choices=ENGINE_BACKENDS,
+        help="counting kernels (bitwise-identical results; default "
+             "auto: the engine picks them; 'reference' is the direct "
+             "transcription of the paper's pseudocode, for triage — "
+             "see docs/performance.md)",
     )
     parser.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",

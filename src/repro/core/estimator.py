@@ -212,21 +212,13 @@ class PQEEngine:
         unaffected — sampled counts are never cached.  Per-call
         ``cache`` arguments override it.
     kernel_backend:
-        Counting-kernel implementation used by the FPRAS, Karp–Luby
-        and RPQ routes: ``'auto'`` (default; the optimized machinery,
-        with the exact DP picking its scalar or numpy tier per
-        automaton — see :data:`repro.core.kernels.VECTOR_MIN_STATES`),
-        ``'optimized'`` (dense-interned layer DP and batched sampling,
-        see :mod:`repro.core.kernels`), ``'vectorized'`` (the numpy
-        layer DP of :mod:`repro.core.vectorized`; requires the
-        ``[vectorized]`` extra) or ``'reference'`` (the direct
-        transcription of the paper's pseudocode).  All produce
-        bitwise-identical answers for any seed — the explicit tiers
-        exist for differential testing and triage.  When
-        ``'vectorized'`` is requested but numpy is missing the engine
-        degrades to ``'optimized'`` (recording
-        ``kernels.vectorized.unavailable``) rather than failing, since
-        the answers are identical either way.
+        ``'auto'`` (default): the engine picks the counting kernels
+        itself, with the exact DP choosing its scalar or numpy tier per
+        automaton (see :data:`repro.core.kernels.VECTOR_MIN_STATES`).
+        ``'reference'`` runs the direct transcription of the paper's
+        pseudocode instead, for triage.  Both give bitwise-identical
+        answers for any seed.  To force one tier, call the estimators
+        with their ``backend=`` parameter.
     """
 
     def __init__(
@@ -239,7 +231,7 @@ class PQEEngine:
         exact_set_cap: int = 4096,
         kernel_backend: str = "auto",
     ):
-        from repro.core.kernels import fallback_backend
+        from repro.core.kernels import ENGINE_BACKENDS
 
         if not 0 < epsilon < 1:
             raise ReproError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -249,7 +241,14 @@ class PQEEngine:
         self.repetitions = repetitions
         self.cache = cache
         self.exact_set_cap = exact_set_cap
-        self.kernel_backend = fallback_backend(kernel_backend)
+        if kernel_backend not in ENGINE_BACKENDS:
+            raise ReproError(
+                f"PQEEngine kernel_backend must be one of "
+                f"{ENGINE_BACKENDS}, got {kernel_backend!r}; the engine "
+                "picks the counting tier itself (to force one, call "
+                "pqe_estimate/ur_estimate/count_nfta with backend=...)"
+            )
+        self.kernel_backend = kernel_backend
 
     # ------------------------------------------------------------------
 
@@ -467,7 +466,7 @@ class PQEEngine:
                 )
         seed = self.seed if seed is _UNSET else seed
         cache = self.cache if cache is None else cache
-        with span("rpq.compile", backend=self.kernel_backend):
+        with span("rpq.compile"):
             query.rpq.nfa  # parse + Glushkov, cached on the query
         estimate = rpq_probability_estimate(
             graph,
@@ -480,7 +479,6 @@ class PQEEngine:
                 delta, floor=self.repetitions
             ),
             cache=cache,
-            backend=self.kernel_backend,
         )
         return PQEAnswer(
             estimate.estimate,

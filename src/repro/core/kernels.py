@@ -4,16 +4,16 @@ This module is the process-wide home of the ``optimized`` counting
 backend (see ``docs/performance.md``):
 
 - :func:`resolve_backend` — the
-  ``backend="auto"|"reference"|"optimized"|"vectorized"`` knob threaded
-  through ``count_nfta_exact``, the estimators,
-  :class:`~repro.core.estimator.PQEEngine` and the CLI.  The
-  ``vectorized`` backend (numpy; the optional ``[vectorized]`` extra —
-  see :mod:`repro.core.vectorized`) swaps the scalar layer DP for a
-  batched array one and reuses the optimized machinery everywhere
-  else; :func:`fallback_backend` is the engine/serve entry point that
-  degrades it to ``optimized`` when numpy is missing.  ``auto`` (the
-  default) runs the optimized machinery and lets the exact DP pick its
-  tier per automaton (:data:`VECTOR_MIN_STATES`);
+  ``backend="auto"|"reference"|"optimized"|"vectorized"`` knob of
+  ``count_nfta_exact``, the sampler, Karp–Luby and the PQE/UR
+  estimators, where differential tests and benchmarks force a tier.
+  The ``vectorized`` backend (numpy; the optional ``[vectorized]``
+  extra — see :mod:`repro.core.vectorized`) swaps the scalar layer DP
+  for a batched array one and reuses the optimized machinery everywhere
+  else.  ``auto`` (the default) runs the optimized machinery and lets
+  the exact DP pick its tier per automaton (:data:`VECTOR_MIN_STATES`).
+  :class:`~repro.core.estimator.PQEEngine` and the CLI accept only
+  :data:`ENGINE_BACKENDS`: the engine picks the tier itself;
 - :func:`dense_exact_count` — a layer-at-a-time bottom-up DP over the
   :class:`~repro.automata.optimize.DenseNFTA` bitmask indexes.  Its
   per-size layers are memoized under the automaton
@@ -61,6 +61,7 @@ from repro.obs import metric_inc
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
+    "ENGINE_BACKENDS",
     "FLOAT_WEIGHTS",
     "TickBatcher",
     "VECTOR_MIN_STATES",
@@ -68,15 +69,16 @@ __all__ = [
     "dense_automaton",
     "dense_exact_count",
     "evict_fingerprints",
-    "fallback_backend",
     "resolve_backend",
     "shared_plan",
-    "vector_nfa_count",
     "vectorized_available",
 ]
 
 BACKENDS = ("auto", "reference", "optimized", "vectorized")
 DEFAULT_BACKEND = "auto"
+#: The backends an engine (and ``repro eval --kernel-backend``) may be
+#: set to: the default, and the paper transcription for triage.
+ENGINE_BACKENDS = ("auto", "reference")
 
 #: Under ``backend="auto"`` the exact layer DP runs the numpy tier on
 #: automata with at least this many dense states (and the scalar tier
@@ -103,8 +105,7 @@ def resolve_backend(backend: str | None) -> str:
 
     Raises a contextual :class:`~repro.errors.ReproError` for unknown
     names, and for ``'vectorized'`` when numpy (the ``[vectorized]``
-    optional extra) is not installed — callers that prefer degrading
-    over failing use :func:`fallback_backend` instead.
+    optional extra) is not installed.
     """
     if backend is None:
         return DEFAULT_BACKEND
@@ -120,24 +121,6 @@ def resolve_backend(backend: str | None) -> str:
             "('auto', 'reference', 'optimized')"
         )
     return backend
-
-
-def fallback_backend(backend: str | None) -> str:
-    """Resolve a backend, degrading ``'vectorized'`` to ``'optimized'``
-    when numpy is unavailable.
-
-    The auto-fallback used by :class:`~repro.core.estimator.PQEEngine`
-    and the serve daemon: answers are bitwise-identical across backends,
-    so degrading silently is safe; the
-    ``kernels.vectorized.unavailable`` counter records that it
-    happened (like all ``kernels.*`` counters, outside the determinism
-    contract).  ``'auto'`` never probes numpy here: the exact DP
-    checks per automaton, and only when one is large enough to want it.
-    """
-    if backend == "vectorized" and not vectorized_available():
-        metric_inc("kernels.vectorized.unavailable")
-        return "optimized"
-    return resolve_backend(backend)
 
 
 # ----------------------------------------------------------------------
@@ -464,23 +447,6 @@ def dense_exact_count(
             lambda: _LayerTable(dense, weights),
         )
     return tier, table.count(size, checkpoint)
-
-
-def vector_nfa_count(nfa, length: int, weight_of=None, max_subsets=None):
-    """Vectorized exact layered subset DP over a string NFA.
-
-    The ``vectorized`` arm of the RPQ exact product route (see
-    :func:`repro.graphs.estimate.rpq_probability_estimate`): returns the
-    same count / ``None``-on-frontier-blowup as
-    :meth:`repro.automata.nfa.NFA.count_exact`, or
-    :data:`FLOAT_WEIGHTS` when float weights require the reference
-    summation order.
-    """
-    from repro.core import vectorized
-
-    return vectorized.nfa_exact_count(
-        nfa, length, weight_of=weight_of, max_subsets=max_subsets
-    )
 
 
 # ----------------------------------------------------------------------

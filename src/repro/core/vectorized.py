@@ -41,9 +41,8 @@ to the reference DP, exactly as the ``optimized`` backend does.
 numpy is an *optional* dependency (the ``[vectorized]`` extra): this
 module imports with or without it, and :func:`available` gates every
 entry point.  ``resolve_backend("vectorized")`` raises a contextual
-error when numpy is missing, while the engine and the serve daemon
-degrade to ``optimized`` (see
-:func:`repro.core.kernels.fallback_backend`).
+error when numpy is missing; the default ``auto`` backend then runs
+the scalar tier instead.
 """
 
 from __future__ import annotations
@@ -56,13 +55,12 @@ try:  # pragma: no cover - exercised via both CI matrix legs
 except ImportError:  # pragma: no cover
     _np = None
 
-from repro.errors import AutomatonError, ReproError
+from repro.errors import ReproError
 from repro.obs import metric_inc
 
 __all__ = [
     "VectorLayerTable",
     "available",
-    "nfa_exact_count",
     "require_numpy",
 ]
 
@@ -686,130 +684,3 @@ class VectorLayerTable:
                         merged[i + j] += mass * totals[j]
             current = merged
         return current[total]
-
-
-# ----------------------------------------------------------------------
-# Vectorized layered subset DP over string NFAs (the RPQ exact route)
-# ----------------------------------------------------------------------
-
-def nfa_exact_count(nfa, length: int, weight_of=None, max_subsets=None):
-    """Vectorized mirror of :meth:`repro.automata.nfa.NFA.count_exact`.
-
-    Levels are (packed subset rows, count vector) pairs; one float32
-    matmul per nonzero-weight symbol computes every subset's target at
-    once (exact for any graph below 2^24 states per row, i.e. always).
-    The frontier bail-out is checked on the same quantity the reference
-    checks — the number of distinct nonempty target subsets, *including*
-    ones whose counts cancelled to zero — so ``None`` is returned in
-    exactly the same cases.  Returns
-    :data:`repro.core.kernels.FLOAT_WEIGHTS` when a nonzero weight is a
-    float (the caller then runs the reference sweep, preserving its
-    summation order), and otherwise a value bitwise-equal to the
-    reference: int64 counts under the same conservative overflow bound
-    as the layer table, with the object-dtype fallback past 2^63.
-    """
-    require_numpy()
-    from repro.core.kernels import FLOAT_WEIGHTS
-
-    if length < 0:
-        raise AutomatonError("length must be non-negative")
-    if max_subsets is not None and max_subsets < 1:
-        raise AutomatonError(
-            f"max_subsets must be >= 1, got {max_subsets}"
-        )
-    weigh = weight_of if weight_of is not None else (lambda _s: 1)
-
-    states = list(nfa.states)
-    state_id = {state: i for i, state in enumerate(states)}
-    n = len(states)
-    nbytes = max(1, (n + 7) // 8)
-    nwords = (nbytes + 7) // 8
-    npad = nwords * 8
-
-    object_mode = False
-    weight_abs_sum = 0
-    moves = []
-    for symbol in nfa.alphabet:
-        weight = weigh(symbol)
-        if isinstance(weight, float):
-            return FLOAT_WEIGHTS
-        if not weight:
-            continue
-        if not _is_exact_int(weight) or abs(weight) >= _INT64_CEILING:
-            object_mode = True
-        else:
-            weight_abs_sum += abs(weight)
-        adjacency = _np.zeros((n, n), dtype=_np.float32)
-        for state in states:
-            targets = nfa.successors(state).get(symbol)
-            if targets:
-                source = state_id[state]
-                for target in targets:
-                    adjacency[source, state_id[target]] = 1.0
-        moves.append((weight, adjacency))
-
-    accepting_ids = [state_id[state] for state in nfa.accepting]
-
-    matrix = _np.zeros((1, n), dtype=_np.uint8)
-    for state in nfa.initial:
-        matrix[0, state_id[state]] = 1
-    counts = _np.ones(1, dtype=object if object_mode else _np.int64)
-    total_abs = 1
-
-    for _ in range(length):
-        if not object_mode and weight_abs_sum * total_abs >= _INT64_CEILING:
-            object_mode = True
-            counts = counts.astype(object)
-            metric_inc("kernels.vectorized.object_fallback")
-        floating = matrix.astype(_np.float32)
-        rows_list = []
-        vals_list = []
-        for weight, adjacency in moves:
-            reached = (floating @ adjacency) > 0.0
-            live = reached.any(axis=1)
-            if not live.any():
-                continue
-            packed = _np.zeros(
-                (int(live.sum()), npad), dtype=_np.uint8
-            )
-            packed[:, :nbytes] = _np.packbits(
-                reached[live], axis=1, bitorder="little"
-            )
-            rows_list.append(packed)
-            if object_mode:
-                vals_list.append(
-                    weight * VectorLayerTable._as_object(counts[live])
-                )
-            else:
-                vals_list.append(weight * counts[live])
-        if rows_list:
-            all_rows = _np.concatenate(rows_list)
-            if object_mode:
-                all_vals = _np.concatenate(
-                    [VectorLayerTable._as_object(v) for v in vals_list]
-                )
-            else:
-                all_vals = _np.concatenate(vals_list)
-            packed, counts = _aggregate(all_rows, all_vals, nwords)
-        else:
-            packed = _np.zeros((0, npad), dtype=_np.uint8)
-            counts = _np.zeros(0, dtype=object if object_mode else _np.int64)
-        if max_subsets is not None and len(counts) > max_subsets:
-            return None
-        if not len(counts):
-            return 0
-        matrix = _np.unpackbits(
-            packed[:, :nbytes], axis=1, bitorder="little"
-        )[:, :n]
-        if counts.dtype == object:
-            total_abs = sum(abs(v) for v in counts.tolist())
-        else:
-            total_abs = int(_np.abs(counts).sum())
-
-    if not accepting_ids:
-        return 0
-    accepted = matrix[:, accepting_ids].any(axis=1)
-    if not accepted.any():
-        return 0
-    total = counts[accepted].sum()
-    return total if counts.dtype == object else int(total)

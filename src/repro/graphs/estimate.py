@@ -164,7 +164,6 @@ def rpq_probability_estimate(
     exact_set_cap: int = 4096,
     repetitions: int = 1,
     cache=None,
-    backend=None,
 ) -> RPQEstimate:
     """``Pr_G(source ⟶_regex target)`` via the chosen route.
 
@@ -178,27 +177,11 @@ def rpq_probability_estimate(
     ``("rpq", query.cache_token, graph.cache_token)`` and exact
     (seed-independent) DP counts under a matching ``("count", "rpq",
     …)`` key; sampled counts are never stored.
-
-    ``backend`` is the counting-kernel knob (see
-    :mod:`repro.core.kernels`): ``'vectorized'`` runs the exact
-    product-DP sweep as batched numpy subset layers
-    (:func:`repro.core.kernels.vector_nfa_count`) with a
-    bitwise-identical count and an identical frontier bail-out, while
-    the FPRAS sampling route is backend-independent (one shared
-    RNG-order-bound loop).  ``'auto'`` keeps the scalar string DP:
-    the pinned RPQ products (8-45 states) all run faster without
-    numpy.  The backend joins the exact-count cache
-    key so hit/miss accounting stays per-knob even though the cached
-    values are interchangeable.
     """
     if method not in RPQ_METHODS:
         raise EstimationError(
             f"unknown RPQ method {method!r}; choose from {RPQ_METHODS}"
         )
-    from repro.core import kernels
-
-    backend = kernels.resolve_backend(backend)
-
     if method == "monte-carlo":
         with span("rpq.count", method=method):
             fault_point("rpq.count")
@@ -238,7 +221,7 @@ def rpq_probability_estimate(
         return rpq_probability_estimate(
             graph, query, method=fallback, epsilon=epsilon, seed=seed,
             samples=samples, exact_set_cap=exact_set_cap,
-            repetitions=repetitions, cache=cache, backend=backend,
+            repetitions=repetitions, cache=cache,
         )
 
     with span("rpq.product"):
@@ -268,17 +251,6 @@ def rpq_probability_estimate(
             cap = None if method == "exact" else _AUTO_EXACT_FRONTIER
 
             def exact_sweep():
-                if backend == "vectorized":
-                    measure = kernels.vector_nfa_count(
-                        reduction.nfa,
-                        reduction.string_length,
-                        weight_of=weight_of,
-                        max_subsets=cap,
-                    )
-                    if measure is not kernels.FLOAT_WEIGHTS:
-                        return measure
-                    # Float weights: only the reference summation
-                    # order is reproducible — same rule as the tree DP.
                 return reduction.nfa.count_exact(
                     reduction.string_length,
                     weight_of=weight_of,
@@ -291,7 +263,7 @@ def rpq_probability_estimate(
                 measure = cache.get_or_build(
                     (
                         "count", "rpq", query.cache_token,
-                        graph.cache_token, cap, backend,
+                        graph.cache_token, cap,
                     ),
                     exact_sweep,
                     cache_if=lambda value: value is not None,

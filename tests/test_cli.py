@@ -488,6 +488,71 @@ class TestTelemetryFlags:
         assert "trace:" not in out
 
 
+#: An unsafe path query whose FPRAS run genuinely samples (the answer
+#: is not exact), so the seed and the kernels both matter.
+CSV_SAMPLED = """\
+R1,3/5,c1,c1
+R1,1/5,c3,c0
+R1,2/5,c3,c2
+R1,4/5,c1,c3
+R1,2/5,c3,c1
+R2,2/5,c0,c0
+R2,1/5,c0,c2
+R2,4/5,c2,c3
+R2,4/5,c3,c3
+R2,1/5,c1,c2
+R2,4/5,c0,c1
+R3,4/5,c1,c2
+R3,4/5,c2,c3
+R3,2/5,c0,c2
+R3,2/5,c2,c0
+"""
+
+
+class TestKernelBackendFlag:
+    """``--kernel-backend`` is the one triage flag: ``auto`` (default)
+    or ``reference``; the daemon has no such flag."""
+
+    @pytest.fixture
+    def data_file(self, tmp_path):
+        path = tmp_path / "facts.csv"
+        path.write_text(CSV_SAMPLED)
+        return str(path)
+
+    def _eval(self, data_file, capsys, *extra):
+        code = main(
+            ["eval", "--data", data_file,
+             "--query", "Q :- R1(x,y), R2(y,z), R3(z,w)",
+             "--method", "fpras", "--seed", "7", *extra]
+        )
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_reference_prints_the_default_runs_value(
+        self, data_file, capsys
+    ):
+        default = self._eval(data_file, capsys)
+        assert "method:  fpras\n" in default  # sampled, not exact
+        reference = self._eval(
+            data_file, capsys, "--kernel-backend", "reference"
+        )
+        assert reference == default
+
+    def test_explicit_tier_is_a_usage_error(self, data_file, capsys):
+        with pytest.raises(SystemExit) as exited:
+            self._eval(data_file, capsys, "--kernel-backend", "optimized")
+        assert exited.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
+
+    def test_serve_has_no_backend_flag(self, data_file, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--data", data_file, "--kernel-backend", "auto"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernel-backend" in (
+            capsys.readouterr().err
+        )
+
+
 class TestArgumentValidation:
     """Malformed flags are usage errors: argparse exit code 2, with a
     message naming the flag, before any file is opened."""

@@ -184,6 +184,14 @@ class TestFingerprint:
         other_engine = PQEEngine(seed=11, epsilon=0.5)
         assert batch_fingerprint(rs_items, 11, other_engine) != base
 
+    def test_default_engine_fingerprint_is_pinned(self, rs_items):
+        """Journals written by default engines stay resumable: the
+        digest names the kernel backend, so dropping it or changing the
+        default would orphan every existing journal."""
+        assert batch_fingerprint(rs_items, 11, PQEEngine(seed=11)) == (
+            "b5c9cb9319eb64dc8aeb70ab17aaca9e12b4e0e3f3da6b84f709f0586cd969f5"
+        )
+
     def test_mismatch_refuses_resume(self, tmp_path, engine, rs_items):
         path = tmp_path / "batch.jsonl"
         engine.evaluate_batch(rs_items, seed=11, journal=path)

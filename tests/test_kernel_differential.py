@@ -4,9 +4,16 @@ The optimized and vectorized backends (:mod:`repro.core.kernels` over
 :mod:`repro.automata.optimize`, and :mod:`repro.core.vectorized`)
 promise *bitwise-identical* results to the reference transcription for
 any input and any seed — not "close", identical.  This module enforces
-that promise over the full backend cross product, including the
-default ``auto`` (the ``vectorized`` legs drop out cleanly when numpy
-is not installed), on the repository's existing corpus:
+that promise over the full backend cross product of the library-level
+``backend=`` parameters, including the default ``auto`` (the
+``vectorized`` legs drop out cleanly when numpy is not installed), and
+over the engine's :data:`ENGINE_LEGS` — ``reference`` against ``auto``,
+with ``auto`` also run at a patched
+:data:`~repro.core.kernels.VECTOR_MIN_STATES` that puts every automaton
+on the numpy tier, and at one that puts every automaton on the scalar
+tier (no engine route reaches the exact layer DP today, so these legs
+guard parity for the day one does; the estimator legs force every
+tier) — on the repository's existing corpus:
 
 - every automaton shape used by ``test_nfta_counting`` (Catalan, random
   NFTAs with dead/unreachable/duplicate structure, ambiguous and
@@ -17,12 +24,9 @@ is not installed), on the repository's existing corpus:
   ``pqe_estimate`` / ``ur_estimate`` / ``PQEEngine`` on every routed
   method;
 - Karp–Luby over random monotone DNFs;
-- RPQ product automata: the exact product-DP route of
-  ``rpq_probability_estimate`` over the handcrafted adversarial graph
-  corpus;
 - whole batches at workers 1 and 4, where answers *and* the merged
   deterministic counters must agree across both worker counts and
-  every backend.
+  every engine leg.
 
 Comparisons use ``==`` on exact values (``int``/``Fraction``: value and
 type), full result dataclasses, and tree lists — never ``approx``.
@@ -55,11 +59,27 @@ from repro.workloads.instances import (
 
 from test_nfta_counting import _catalan_automaton, _random_nfta
 
+from repro.core import kernels
 from repro.core.kernels import vectorized_available
 
 BACKENDS = ("reference", "optimized", "auto") + (
     ("vectorized",) if vectorized_available() else ()
 )
+
+#: ``(engine backend, VECTOR_MIN_STATES)`` — the measured threshold,
+#: 0 (every automaton on the numpy tier; only with numpy) and a value
+#: above every corpus automaton (every automaton on the scalar tier).
+ENGINE_LEGS = (
+    ("reference", kernels.VECTOR_MIN_STATES),
+    ("auto", kernels.VECTOR_MIN_STATES),
+    ("auto", 10**9),
+) + ((("auto", 0),) if vectorized_available() else ())
+
+
+def _engine(monkeypatch, leg, seed) -> PQEEngine:
+    backend, min_states = leg
+    monkeypatch.setattr(kernels, "VECTOR_MIN_STATES", min_states)
+    return PQEEngine(seed=seed, kernel_backend=backend)
 
 
 def _ambiguous_automaton() -> NFTA:
@@ -253,21 +273,21 @@ def test_ur_estimate_bitwise(case, method):
         assert other.count_result == estimates[0].count_result
 
 
-def test_engine_fixture_corpus_bitwise(q2, q3, tiny_pdb):
+def test_engine_fixture_corpus_bitwise(monkeypatch, q2, q3, tiny_pdb):
     for query in (q2, q3):
         for method in ("auto", "fpras", "fpras-weighted", "karp-luby"):
             answers = [
-                PQEEngine(seed=17, kernel_backend=backend).probability(
+                _engine(monkeypatch, leg, 17).probability(
                     query, tiny_pdb, method=method
                 )
-                for backend in BACKENDS
+                for leg in ENGINE_LEGS
             ]
             assert all(
                 answer == answers[0] for answer in answers[1:]
             ), (query, method)
 
 
-def test_engine_random_sjf_corpus_bitwise():
+def test_engine_random_sjf_corpus_bitwise(monkeypatch):
     # The test_cross_validation query/instance shape: random SJF queries
     # with shared variables over small random instances.
     from test_cross_validation import _random_instance, _random_sjf_query
@@ -279,10 +299,10 @@ def test_engine_random_sjf_corpus_bitwise():
         instance = _random_instance(query, rng, max_facts=8)
         pdb = random_probabilities(instance, seed=checked, max_denominator=5)
         answers = [
-            PQEEngine(
-                seed=checked, kernel_backend=backend
-            ).probability(query, pdb, method="fpras")
-            for backend in BACKENDS
+            _engine(monkeypatch, leg, checked).probability(
+                query, pdb, method="fpras"
+            )
+            for leg in ENGINE_LEGS
         ]
         assert all(answer == answers[0] for answer in answers[1:])
         checked += 1
@@ -310,58 +330,14 @@ def test_karp_luby_random_dnfs_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# RPQ product automata: the exact product-DP route per backend
-
-
-@pytest.mark.parametrize("case", range(8))
-def test_rpq_exact_product_dp_bitwise(case):
-    from repro.graphs import rpq_probability_estimate
-    from test_rpq_differential import _handcrafted_cases
-
-    name, graph, query = _handcrafted_cases()[case]
-    estimates = [
-        rpq_probability_estimate(
-            graph, query, method="exact", backend=backend
-        )
-        for backend in BACKENDS
-    ]
-    for other in estimates[1:]:
-        assert other.exact is estimates[0].exact, name
-        assert other.rational == estimates[0].rational, name
-        assert other.estimate == estimates[0].estimate, name
-
-
-@pytest.mark.parametrize("case", range(8))
-def test_rpq_auto_frontier_bailout_parity(case):
-    # 'auto' with a tiny frontier cap: whether the DP bails to the
-    # FPRAS must be backend-independent, and the fallback estimates
-    # (fixed seed) bitwise-equal.
-    from repro.graphs import rpq_probability_estimate
-    from test_rpq_differential import _handcrafted_cases
-
-    name, graph, query = _handcrafted_cases()[case]
-    estimates = [
-        rpq_probability_estimate(
-            graph, query, method="auto", epsilon=0.3, seed=case,
-            backend=backend,
-        )
-        for backend in BACKENDS
-    ]
-    for other in estimates[1:]:
-        assert other.method == estimates[0].method, name
-        assert other.estimate == estimates[0].estimate, name
-        assert other.rational == estimates[0].rational, name
-
-
-# ---------------------------------------------------------------------------
 # batches: answers and merged counters at workers 1 and 4
 
 
-def test_batch_answers_and_counters_bitwise():
+def test_batch_answers_and_counters_bitwise(monkeypatch):
     items = [(query, pdb) for query, _instance, pdb in _query_corpus()]
     merged = {}
-    for backend in BACKENDS:
-        engine = PQEEngine(seed=23, kernel_backend=backend)
+    for leg in ENGINE_LEGS:
+        engine = _engine(monkeypatch, leg, 23)
         per_workers = {}
         for workers in (1, 4):
             batch = engine.evaluate_batch(
@@ -371,11 +347,11 @@ def test_batch_answers_and_counters_bitwise():
                 batch.values,
                 batch.telemetry.metrics.deterministic_counters(),
             )
-        # Worker-count invariance within one backend …
+        # Worker-count invariance within one leg …
         assert per_workers[1] == per_workers[4]
-        merged[backend] = per_workers[1]
-    # … and full answer + counter parity across backends: the optimized
-    # and vectorized kernels do the same semantic work, bit for bit
+        merged[leg] = per_workers[1]
+    # … and full answer + counter parity across legs: the reference,
+    # scalar and numpy kernels do the same semantic work, bit for bit
     # (only the contract-exempt kernels.* bookkeeping may differ).
-    for backend in BACKENDS[1:]:
-        assert merged[backend] == merged["reference"]
+    for leg in ENGINE_LEGS[1:]:
+        assert merged[leg] == merged[ENGINE_LEGS[0]]

@@ -1,4 +1,4 @@
-"""The vectorized backend's own contracts: overflow, degradation and
+"""The vectorized backend's own contracts: overflow, numpy absence and
 the ``auto`` tier choice.
 
 Three properties the backend differential suite cannot pin by itself:
@@ -10,13 +10,11 @@ Three properties the backend differential suite cannot pin by itself:
   weighted automata across the boundary; a pinned regression freezes
   one straddling workload and asserts the
   ``kernels.vectorized.object_fallback`` counter actually fired.
-- **graceful no-numpy degradation** — with numpy absent (simulated by
-  monkeypatching :data:`repro.core.vectorized._np` to ``None``),
+- **numpy absence** — with numpy absent (simulated by monkeypatching
+  :data:`repro.core.vectorized._np` to ``None``),
   ``resolve_backend('vectorized')`` raises a contextual error naming
-  the ``[vectorized]`` extra, while the engine and the serve daemon
-  auto-fall back to ``'optimized'`` and count the degradation as
-  ``kernels.vectorized.unavailable``.  The other two backends stay
-  untouched, so tier-1 behaviour is numpy-independent.
+  the ``[vectorized]`` extra.  The other backends stay untouched, so
+  tier-1 behaviour is numpy-independent.
 - **the per-automaton tier choice of ``auto``** — the exact DP runs the
   numpy tier from :data:`~repro.core.kernels.VECTOR_MIN_STATES` dense
   states up and the scalar tier below it (or without numpy, silently:
@@ -46,7 +44,6 @@ from repro.core.estimator import PQEEngine
 from repro.core.kernels import (
     VECTOR_MIN_STATES,
     clear_kernel_caches,
-    fallback_backend,
     resolve_backend,
     vectorized_available,
 )
@@ -146,7 +143,7 @@ def test_fraction_weights_use_object_mode_from_the_start():
 
 
 # ---------------------------------------------------------------------------
-# degradation: the backend without numpy
+# the backend without numpy
 
 
 def _without_numpy(monkeypatch):
@@ -163,65 +160,27 @@ def test_resolve_backend_raises_contextually_without_numpy(monkeypatch):
     assert "optimized" in message  # points at the working alternative
 
 
-def test_fallback_backend_degrades_with_counter(monkeypatch):
-    _without_numpy(monkeypatch)
-    telemetry = EvaluationTelemetry()
-    with telemetry_scope(telemetry):
-        assert fallback_backend("vectorized") == "optimized"
-    assert telemetry.counter("kernels.vectorized.unavailable") == 1
-
-
 def test_other_backends_are_numpy_independent(monkeypatch):
     _without_numpy(monkeypatch)
     assert resolve_backend("optimized") == "optimized"
     assert resolve_backend("reference") == "reference"
     assert resolve_backend(None) == "auto"
-    assert fallback_backend("optimized") == "optimized"
 
 
-def test_engine_autofallback_without_numpy(monkeypatch, q2, tiny_pdb):
-    _without_numpy(monkeypatch)
-    telemetry = EvaluationTelemetry()
-    with telemetry_scope(telemetry):
-        engine = PQEEngine(seed=11, kernel_backend="vectorized")
-    assert engine.kernel_backend == "optimized"
-    assert telemetry.counter("kernels.vectorized.unavailable") == 1
-    # …and the degraded engine answers exactly like a native one.
-    native = PQEEngine(seed=11, kernel_backend="optimized")
-    assert engine.probability(q2, tiny_pdb) == native.probability(
-        q2, tiny_pdb
+@pytest.mark.parametrize("backend", ["optimized", "vectorized", "simd"])
+def test_engine_accepts_only_auto_and_reference(backend):
+    """The engine picks the tier itself: forcing one is for the
+    estimators' ``backend=`` parameter, which the message names."""
+    with pytest.raises(ReproError) as failure:
+        PQEEngine(kernel_backend=backend)
+    message = str(failure.value)
+    assert "('auto', 'reference')" in message
+    assert repr(backend) in message
+    assert "backend=" in message
+    assert PQEEngine().kernel_backend == "auto"
+    assert PQEEngine(kernel_backend="reference").kernel_backend == (
+        "reference"
     )
-
-
-def test_serve_autofallback_without_numpy(monkeypatch, tiny_pdb):
-    _without_numpy(monkeypatch)
-    from repro.serve import PQEServer, ServerConfig
-
-    server = PQEServer(
-        tiny_pdb, ServerConfig(kernel_backend="vectorized")
-    )
-    assert server.engine.kernel_backend == "optimized"
-    stats = server.stats()
-    assert stats["requests"]["kernels.vectorized.unavailable"] == 1
-    status, body = server.handle({"query": "Q :- R(x, y), S(y, z)"})
-    assert status == 200 and body["ok"]
-
-
-@needs_numpy
-def test_engine_and_serve_keep_vectorized_with_numpy(tiny_pdb):
-    from repro.serve import PQEServer, ServerConfig
-
-    assert resolve_backend("vectorized") == "vectorized"
-    assert fallback_backend("vectorized") == "vectorized"
-    engine = PQEEngine(kernel_backend="vectorized")
-    assert engine.kernel_backend == "vectorized"
-    server = PQEServer(
-        tiny_pdb, ServerConfig(kernel_backend="vectorized")
-    )
-    assert server.engine.kernel_backend == "vectorized"
-    assert "kernels.vectorized.unavailable" not in server.stats()[
-        "requests"
-    ]
 
 
 def test_unknown_backend_message_lists_choices():
@@ -325,13 +284,11 @@ def test_auto_without_numpy_runs_the_scalar_tier_silently(monkeypatch):
         nfta, 9, weight_of=_LADDER_WEIGHTS.get, backend="optimized"
     )
     _without_numpy(monkeypatch)
-    assert fallback_backend("auto") == "auto"
+    assert resolve_backend("auto") == "auto"
     value, telemetry, tags = _auto_count(nfta, 9, _LADDER_WEIGHTS.get)
     assert value == forced and type(value) is type(forced)
     assert telemetry.counter("kernels.vectorized_layers") == 0
     assert telemetry.counter("kernels.layers_computed") == 9
-    # Nobody asked for numpy, so its absence is not a degradation.
-    assert telemetry.counter("kernels.vectorized.unavailable") == 0
     assert tags["tier"] == "optimized"
 
 

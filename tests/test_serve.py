@@ -532,6 +532,14 @@ class TestRequestJournalReplay:
         fresh = make_server(pdb, journal=journal, shed_target_p95=0.01)
         assert fresh._replayable == {}
 
+    def test_default_fingerprint_is_pinned(self, pdb):
+        """Request journals written by default daemons stay replayable:
+        the digest names the engine's kernel backend, so dropping it or
+        changing the default would orphan every existing journal."""
+        assert make_server(pdb).fingerprint() == (
+            "4aec0a1d258a695735590f433ea568fdd2cb1c447effad25c6096413fe10c737"
+        )
+
     def test_fingerprint_mismatch_refuses_the_journal(
         self, pdb, tmp_path
     ):
